@@ -22,6 +22,16 @@
 //!   inconsistent with the collected labels — `n`'s label is determined to be negative and it is
 //!   pruned without asking (see [`TwigSession::is_determined_negative`]).
 //!
+//! The determined-negative analysis is memoised per *extended spine*, the positives' spine
+//! folded with `n`'s label path. Nodes with the same extended spine share the spine-only
+//! pre-filter, and the filter harvest that builds their most specific query tries the same
+//! candidate filters for as long as it takes the same keep/drop decisions. So one recorded
+//! harvest answers for all of them at one bit test per candidate, and a node whose decisions
+//! differ gets a harvest of its own. Learning `//person/name` on the `xmark-small` corpus, the
+//! last `propose` call proves 1196 nodes negative; they have four distinct extended spines, so
+//! it runs four harvests instead of 1196. The memo lives for one positive epoch. A memoised
+//! verdict is brought up to date by testing only the negatives labelled since it was recorded.
+//!
 //! Remaining nodes are informative: a positive label generalises the candidate, a negative label
 //! constrains the final query.
 //!
@@ -36,7 +46,7 @@
 //! pruning saved.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -50,6 +60,7 @@ use qbe_xml::{NodeId, NodeIndex, XmlTree};
 use crate::eval;
 use crate::eval_indexed::{self, EvalCache};
 use crate::example::Annotation;
+use crate::learn::{CachedSpine, HarvestTrace};
 use crate::query::TwigQuery;
 
 /// The answer source for node-labelling questions.
@@ -162,6 +173,9 @@ pub enum NodeStatus {
     LabelledNegative,
     /// Selected by the current candidate, hence certainly positive — pruned.
     CertainPositive,
+    /// Proven determined-negative while proposing (see
+    /// [`TwigSession::is_determined_negative`]) — pruned.
+    DeterminedNegative,
     /// Still informative: asking about it would refine the hypothesis space.
     Informative,
 }
@@ -197,6 +211,54 @@ impl fmt::Display for TwigSessionOutcome {
     }
 }
 
+/// The determined-negative analysis shared by every unlabelled node whose *extended spine*
+/// (the positives' spine folded with the node's label path) is the same, for one positive
+/// epoch. Such nodes share the spine-only pre-filter query, and their filter harvests try the
+/// same candidates for as long as they take the same keep/drop decisions, so one recorded
+/// harvest ([`HarvestTrace`]) answers for all of them at one bit test per step. Nodes whose
+/// decisions part ways get a harvest of their own, recorded next to the first.
+#[derive(Debug)]
+struct SpineMemo {
+    /// The spine-only query: a superset of every harvested query's answers.
+    spine_query: TwigQuery,
+    /// Whether `spine_query` selects a labelled negative.
+    spine_verdict: NegativeVerdict,
+    /// The harvests recorded over this spine, each with its query's verdict.
+    harvests: Vec<(HarvestTrace, NegativeVerdict)>,
+}
+
+/// Whether a fixed query selects a labelled negative, as of the first `checked` annotations.
+/// Labels only grow, so bringing it up to date tests just the negatives labelled since.
+#[derive(Debug, Clone, Copy, Default)]
+struct NegativeVerdict {
+    hit: bool,
+    checked: usize,
+}
+
+/// The strategy's view of the pool during one [`TwigSession::propose`] call: one
+/// [`Candidate`] row per informative node, plus each node's label class. Built once per call
+/// and kept exact in place as proven negatives leave the pool.
+struct PoolFeatures {
+    candidates: Vec<Candidate>,
+    label_class: Vec<usize>,
+}
+
+impl PoolFeatures {
+    /// Drop row `ix`: every remaining row with the same label covers one node less.
+    fn remove(&mut self, ix: usize) {
+        self.candidates.remove(ix);
+        let class = self.label_class.remove(ix);
+        for (candidate, _) in self
+            .candidates
+            .iter_mut()
+            .zip(&self.label_class)
+            .filter(|(_, k)| **k == class)
+        {
+            candidate.coverage -= 1.0;
+        }
+    }
+}
+
 /// An in-progress interactive twig-learning session.
 ///
 /// All per-round bookkeeping runs on dense bitsets: one [`DenseSet`] per document for the
@@ -227,10 +289,17 @@ pub struct TwigSession {
     /// maintained incrementally (full rebuild only when the candidate — and with it the certain
     /// region — changes, i.e. once per positive answer).
     pool: Vec<DenseSet<NodeId>>,
+    /// The current candidate (the most specific anchored twig over the positives), learned
+    /// once per positive-count epoch.
+    epoch_candidate: Option<TwigQuery>,
     /// The generalised spine of the current positive set, cached so each determined-negative
     /// check folds in exactly one more example instead of refolding every positive.
-    epoch_spine: Option<crate::learn::CachedSpine>,
-    /// Positive-label count the `certain_bits`/`epoch_spine` caches were computed for.
+    epoch_spine: Option<CachedSpine>,
+    /// This epoch's determined-negative analyses, one per distinct extended spine (see
+    /// [`SpineMemo`]).
+    spine_memo: HashMap<CachedSpine, SpineMemo>,
+    /// Positive-label count the `epoch_*`, `certain_bits` and `spine_memo` caches were
+    /// computed for.
     known_positives: usize,
     /// Set once a generalised candidate swallows an earlier negative.
     inconsistent: bool,
@@ -290,7 +359,9 @@ impl TwigSession {
             determined_bits: empty.clone(),
             certain_bits: empty,
             pool,
+            epoch_candidate: None,
             epoch_spine: None,
+            spine_memo: HashMap::new(),
             known_positives: 0,
             inconsistent: false,
         }
@@ -355,13 +426,30 @@ impl TwigSession {
             .ok()
     }
 
-    /// The current candidate: the most specific anchored twig consistent with the positives.
-    pub fn candidate(&self) -> Option<TwigQuery> {
+    /// Whether the per-epoch caches (`epoch_candidate`, `certain_bits`, `epoch_spine`,
+    /// `spine_memo`) describe the current positives. Labels are only ever appended, so an
+    /// unchanged positive count means unchanged positives. [`Self::propose`] refreshes the
+    /// caches; a caller recording labels by hand between proposals sees them go stale.
+    fn epoch_is_current(&self) -> bool {
+        self.annotations.iter().filter(|a| a.positive).count() == self.known_positives
+    }
+
+    /// The candidate learned from scratch over the current positives.
+    fn learn_candidate(&self) -> Option<TwigQuery> {
         let positives = self.positives();
         if positives.is_empty() {
             return None;
         }
         self.learn_shared(&positives)
+    }
+
+    /// The current candidate: the most specific anchored twig consistent with the positives.
+    /// Reuses the one [`Self::propose`] learned for this positive epoch when it is current.
+    pub fn candidate(&self) -> Option<TwigQuery> {
+        if self.epoch_is_current() {
+            return self.epoch_candidate.clone();
+        }
+        self.learn_candidate()
     }
 
     /// Status of one node under the current candidate and labels.
@@ -375,12 +463,20 @@ impl TwigSession {
                 };
             }
         }
-        if let Some(candidate) = self.candidate() {
-            if self.eval_selects(&candidate, doc, node) {
-                return NodeStatus::CertainPositive;
-            }
+        if self.determined_bits[doc].contains(node) {
+            return NodeStatus::DeterminedNegative;
         }
-        NodeStatus::Informative
+        let certain = if self.epoch_is_current() {
+            self.certain_bits[doc].contains(node)
+        } else {
+            self.learn_candidate()
+                .is_some_and(|candidate| self.eval_selects(&candidate, doc, node))
+        };
+        if certain {
+            NodeStatus::CertainPositive
+        } else {
+            NodeStatus::Informative
+        }
     }
 
     /// All still-informative nodes, as `(document index, node)` pairs.
@@ -390,7 +486,7 @@ impl TwigSession {
     /// [`Self::run`] additionally applies lazily to the nodes the strategy proposes. Callers
     /// driving a session by hand can apply the same check to skip further questions.
     pub fn informative_nodes(&self) -> Vec<(usize, NodeId)> {
-        let candidate = self.candidate();
+        let candidate = self.learn_candidate();
         let labelled: BTreeSet<(usize, NodeId)> =
             self.annotations.iter().map(|a| (a.doc, a.node)).collect();
         let mut out = Vec::new();
@@ -448,7 +544,14 @@ impl TwigSession {
     /// Whether the labels collected so far admit a consistent anchored twig (the candidate from
     /// the positives must reject every labelled negative).
     pub fn is_consistent(&self) -> bool {
-        match self.candidate() {
+        if self.epoch_is_current() {
+            // `certain_bits` is the epoch candidate's answer set (empty without positives).
+            return self
+                .annotations
+                .iter()
+                .all(|a| self.certain_bits[a.doc].contains(a.node) == a.positive);
+        }
+        match self.learn_candidate() {
             None => true,
             Some(q) => self.classifies_all(&q),
         }
@@ -475,6 +578,11 @@ impl TwigSession {
     /// The check is skipped (returns `false`) until at least one positive *and* one negative
     /// label exist: with no positives there is nothing to generalise against, and with no
     /// negatives nothing can contradict.
+    ///
+    /// This is the from-scratch executable specification: every call runs the pre-filter and
+    /// a full filter harvest. [`Self::propose`] reaches the same verdicts through a memo of one
+    /// recorded harvest per extended spine (see the module docs), and `tests/prop_bitset.rs`
+    /// pins the two against each other.
     pub fn is_determined_negative(&self, doc: usize, node: NodeId) -> bool {
         let positives = self.positives();
         if positives.is_empty() {
@@ -547,6 +655,79 @@ impl TwigSession {
     /// the informativeness channel (document depths are far below it).
     const AFFINITY_BONUS: f64 = 1e9;
 
+    /// [`Self::is_determined_negative`] through the epoch's per-spine memo (see
+    /// [`SpineMemo`]): the same verdict, but the pre-filter and the filter harvest run once per
+    /// distinct extended spine (and decision sequence) instead of once per node. Requires the
+    /// epoch caches to be current, as they are inside [`Self::propose`].
+    fn proves_determined_negative(&mut self, doc: usize, node: NodeId) -> bool {
+        let Some(base) = &self.epoch_spine else {
+            return false;
+        };
+        let spine = base.extended(&self.docs[doc], node);
+        let mut memo = std::mem::take(&mut self.spine_memo);
+        let entry = memo.entry(spine.clone()).or_insert_with(|| SpineMemo {
+            spine_query: spine.path_query(),
+            spine_verdict: NegativeVerdict::default(),
+            harvests: Vec::new(),
+        });
+        let determined = self.memo_verdict(&spine, entry, doc, node);
+        self.spine_memo = memo;
+        determined
+    }
+
+    /// The determined-negative verdict for `(doc, node)` from the memo entry of its extended
+    /// `spine`, recording a harvest when none of the entry's harvests replays for the node.
+    fn memo_verdict(
+        &self,
+        spine: &CachedSpine,
+        entry: &mut SpineMemo,
+        doc: usize,
+        node: NodeId,
+    ) -> bool {
+        if !self.selects_negative(&entry.spine_query, &mut entry.spine_verdict) {
+            // Even the loosest consistent generalisation misses every negative: informative.
+            return false;
+        }
+        let replayed = {
+            let mut caches = self.caches.borrow_mut();
+            entry.harvests.iter_mut().position(|(trace, _)| {
+                trace.replays_for(doc, node, &self.docs, &self.indexes, &mut caches)
+            })
+        };
+        let ix = replayed.unwrap_or_else(|| {
+            let trace = {
+                let mut caches = self.caches.borrow_mut();
+                HarvestTrace::record(
+                    spine,
+                    &self.positives(),
+                    (doc, node),
+                    &self.docs,
+                    &self.indexes,
+                    &mut caches,
+                )
+            };
+            entry.harvests.push((trace, NegativeVerdict::default()));
+            entry.harvests.len() - 1
+        });
+        let (trace, verdict) = &mut entry.harvests[ix];
+        self.selects_negative(trace.query(), verdict)
+    }
+
+    /// Bring `verdict` — whether `query` selects a labelled negative — up to date, testing
+    /// only the negatives labelled since its last check.
+    fn selects_negative(&self, query: &TwigQuery, verdict: &mut NegativeVerdict) -> bool {
+        if !verdict.hit {
+            let fresh: Vec<(usize, NodeId)> = self.annotations[verdict.checked..]
+                .iter()
+                .filter(|a| !a.positive)
+                .map(|a| (a.doc, a.node))
+                .collect();
+            verdict.hit = self.selects_any(query, &fresh);
+        }
+        verdict.checked = self.annotations.len();
+        verdict.hit
+    }
+
     /// One [`Candidate`] feature row per informative node, aligned with `informative` (which
     /// is in document order — the model's paper order):
     ///
@@ -556,18 +737,27 @@ impl TwigSession {
     /// * `coverage` — how many informative nodes share the candidate's label: a proxy for the
     ///   matches one answer determines, since same-labelled nodes under the same spine become
     ///   certain positives (or determined negatives) together once this one is labelled.
-    fn candidate_features(&self, informative: &[(usize, NodeId)]) -> Vec<Candidate> {
+    fn candidate_features(&self, informative: &[(usize, NodeId)]) -> PoolFeatures {
         let positive_labels: BTreeSet<&str> = self
             .annotations
             .iter()
             .filter(|a| a.positive)
             .map(|a| self.docs[a.doc].label(a.node))
             .collect();
-        let mut label_counts: BTreeMap<&str, usize> = BTreeMap::new();
-        for &(doc, node) in informative {
-            *label_counts.entry(self.docs[doc].label(node)).or_insert(0) += 1;
-        }
-        informative
+        // Per label: its class id and how many informative nodes carry it.
+        let mut label_counts: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+        let label_class: Vec<usize> = informative
+            .iter()
+            .map(|&(doc, node)| {
+                let classes = label_counts.len();
+                let entry = label_counts
+                    .entry(self.docs[doc].label(node))
+                    .or_insert((classes, 0));
+                entry.1 += 1;
+                entry.0
+            })
+            .collect();
+        let candidates = informative
             .iter()
             .map(|&(doc, node)| {
                 let label = self.docs[doc].label(node);
@@ -580,24 +770,31 @@ impl TwigSession {
                 Candidate {
                     informativeness: bonus - depth,
                     cost: depth,
-                    coverage: label_counts[label] as f64,
+                    coverage: label_counts[label].1 as f64,
                     specificity: 0.0,
                     prior: 0.0,
                 }
             })
-            .collect()
+            .collect();
+        PoolFeatures {
+            candidates,
+            label_class,
+        }
     }
 
     /// Propose the next node to ask the user about, or `None` when the session is over (every
     /// node is labelled or pruned, or the labels became inconsistent).
     ///
-    /// Each call recomputes the still-informative nodes (pruning certain positives and
-    /// determined negatives) and returns the strategy's preferred one. The candidate — and with
-    /// it the certain-positive set — only changes when a new positive arrives, so it is cached
-    /// per positive-count epoch; determined-negative checks run lazily, only on nodes the
-    /// strategy actually proposes. Callers alternate `propose` and [`Self::record`]: drivers
-    /// serving one question at a time (the `qbe-core` session adapters, the `qbe-server` wire
-    /// protocol) call them round by round, [`Self::run`] loops to completion.
+    /// Each call takes the still-informative pool and returns the strategy's preferred node.
+    /// The candidate — and with it the certain-positive set — only changes when a new positive
+    /// arrives, so it is cached per positive-count epoch. Determined-negative checks run
+    /// lazily, only on nodes the strategy actually proposes; a proven node leaves the pool and
+    /// the strategy picks again. The feature rows are built once per call and updated in place
+    /// as nodes leave, and the checks go through the epoch's per-spine memo (see the module
+    /// docs), so the call that proves every remaining node negative costs one harvest per
+    /// distinct extended spine, not one per node. Callers alternate `propose` and [`Self::record`]:
+    /// drivers serving one question at a time (the `qbe-core` session adapters, the
+    /// `qbe-server` wire protocol) call them round by round, [`Self::run`] loops to completion.
     pub fn propose(&mut self) -> Option<(usize, NodeId)> {
         if self.inconsistent {
             return None;
@@ -608,9 +805,9 @@ impl TwigSession {
         let positives_now = self.annotations.iter().filter(|a| a.positive).count();
         if positives_now != self.known_positives {
             self.known_positives = positives_now;
-            // Refresh the per-epoch caches: the candidate's answer region and the generalised
-            // spine its determined-negative checks extend.
-            let candidate = self.candidate();
+            // Refresh the per-epoch caches: the candidate and its answer region, the
+            // generalised spine its determined-negative checks extend, and their memo.
+            let candidate = self.learn_candidate();
             for doc_ix in 0..self.docs.len() {
                 match &candidate {
                     Some(q) => {
@@ -620,6 +817,7 @@ impl TwigSession {
                     None => self.certain_bits[doc_ix].clear(),
                 }
             }
+            self.epoch_candidate = candidate;
             let example_refs: Vec<(&XmlTree, NodeId)> = self
                 .annotations
                 .iter()
@@ -627,6 +825,7 @@ impl TwigSession {
                 .map(|a| (&self.docs[a.doc], a.node))
                 .collect();
             self.epoch_spine = crate::learn::generalised_spine(&example_refs).ok();
+            self.spine_memo.clear();
             // A generalised candidate may have swallowed an earlier negative: the labels no
             // longer admit a consistent anchored twig, matching `is_consistent`.
             if self
@@ -652,27 +851,26 @@ impl TwigSession {
         for (doc_ix, pool) in self.pool.iter().enumerate() {
             informative.extend(pool.iter().map(|node| (doc_ix, node)));
         }
+        let mut features = self.candidate_features(&informative);
 
-        // Consult the pluggable strategy; determined-negative analysis runs lazily, only on
-        // the nodes it actually proposes, and proven-negative nodes are pruned from the pool
-        // before asking again.
+        // Consult the pluggable strategy once per round; a pick proven determined-negative is
+        // pruned from the pool and the strategy picks again.
         loop {
-            let candidates = self.candidate_features(&informative);
             let view = PoolView {
                 asked: self.asked,
-                candidates: &candidates,
+                candidates: &features.candidates,
             };
             let pick_ix = self.strategy.pick(&view)?;
             // An out-of-range pick (a strategy bug, or a deliberate early stop) ends the
             // session rather than panicking the service.
             let pick = *informative.get(pick_ix)?;
-            if self.is_determined_negative(pick.0, pick.1) {
-                self.determined_bits[pick.0].insert(pick.1);
-                self.pool[pick.0].remove(pick.1);
-                informative.remove(pick_ix);
-                continue;
+            if !self.proves_determined_negative(pick.0, pick.1) {
+                return Some(pick);
             }
-            return Some(pick);
+            self.determined_bits[pick.0].insert(pick.1);
+            self.pool[pick.0].remove(pick.1);
+            informative.remove(pick_ix);
+            features.remove(pick_ix);
         }
     }
 
@@ -705,10 +903,14 @@ impl TwigSession {
         self.docs.iter().map(XmlTree::size).sum()
     }
 
-    /// Answer-set size of the current candidate over the whole corpus, through the indexed
-    /// evaluator (0 when no positive has been labelled yet).
+    /// Answer-set size of the current candidate over the whole corpus (0 when no positive has
+    /// been labelled yet): the size of the epoch's certain-positive region when it is current,
+    /// an indexed evaluation of a relearned candidate otherwise.
     pub fn candidate_answer_count(&self) -> usize {
-        match self.candidate() {
+        if self.epoch_is_current() {
+            return self.certain_bits.iter().map(DenseSet::len).sum();
+        }
+        match self.learn_candidate() {
             None => 0,
             Some(q) => (0..self.docs.len())
                 .map(|doc_ix| self.eval_select(&q, doc_ix).len())
@@ -717,9 +919,8 @@ impl TwigSession {
     }
 
     /// Whether the collected labels still admit a consistent anchored twig — the `consistent`
-    /// field of [`Self::outcome`] without materialising the whole outcome (callers polling
-    /// consistency per round, like the serving layer, avoid the extra candidate relearn the
-    /// outcome's `query` field would cost).
+    /// field of [`Self::outcome`] without materialising the whole outcome. While the epoch
+    /// caches are current this is one bit test per label.
     pub fn consistent(&self) -> bool {
         !self.inconsistent && self.is_consistent()
     }
@@ -862,6 +1063,40 @@ mod tests {
             session.status(0, XmlTree::ROOT),
             NodeStatus::CertainPositive
         );
+    }
+
+    #[test]
+    fn status_reports_proven_negatives() {
+        let docs = vec![auction_doc()];
+        let mut session = TwigSession::new(docs.clone(), NodeStrategy::LabelAffinity, 0);
+        let goal_answers = eval::select(&goal(), &docs[0]);
+        while let Some((doc, node)) = session.propose() {
+            session.record(doc, node, goal_answers.contains(&node));
+        }
+        let proven = session.determined_negative_nodes();
+        assert!(!proven.is_empty(), "the session proves some node negative");
+        for (doc, node) in proven {
+            assert!(session.is_determined_negative(doc, node));
+            assert_eq!(session.status(doc, node), NodeStatus::DeterminedNegative);
+        }
+    }
+
+    #[test]
+    fn pool_features_stay_exact_as_nodes_leave() {
+        let docs = vec![auction_doc()];
+        let mut session = TwigSession::new(docs.clone(), NodeStrategy::LabelAffinity, 0);
+        session.record(0, docs[0].nodes_with_label("name")[0], true);
+        let mut informative: Vec<(usize, NodeId)> =
+            docs[0].node_ids().skip(1).map(|n| (0, n)).collect();
+        let mut features = session.candidate_features(&informative);
+        for ix in [3, 0, 7, 1, 4] {
+            informative.remove(ix);
+            features.remove(ix);
+            assert_eq!(
+                features.candidates,
+                session.candidate_features(&informative).candidates
+            );
+        }
     }
 
     #[test]

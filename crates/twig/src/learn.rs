@@ -16,6 +16,7 @@
 
 use crate::eval_indexed::{self, EvalCache};
 use crate::query::{Axis, NodeTest, QNodeId, TwigQuery};
+use qbe_bitset::DenseSet;
 use qbe_xml::{NodeId, NodeIndex, XmlTree};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -38,7 +39,7 @@ impl fmt::Display for TwigLearnError {
 impl std::error::Error for TwigLearnError {}
 
 /// One step of the generalised spine.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct SpineStep {
     axis: Axis,
     test: NodeTest,
@@ -60,7 +61,7 @@ pub fn learn_path_from_positives(
 /// session: spine generalisation folds the examples left to right, so the fold over the known
 /// positives can be reused and extended by one more example per candidate node — byte-identical
 /// to refolding from scratch, without the O(|positives|) rework per proposal.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CachedSpine {
     steps: Vec<SpineStep>,
 }
@@ -102,7 +103,167 @@ pub(crate) fn learn_from_positives_shared_with_spine(
         .iter()
         .map(|&(slot, node)| (&docs[slot], node))
         .collect();
-    let mut by_slot: Vec<Vec<NodeId>> = vec![Vec::new(); docs.len()];
+    let targets = targets_by_slot(examples, docs.len());
+    harvest_filters(&refs, spine.steps.clone(), &mut |q| {
+        selects_targets(q, &targets, docs, indexes, caches)
+    })
+}
+
+/// One recorded run of the filter-harvesting phase over a fixed spine, for the known positives
+/// plus one extra example. Harvesting is deterministic given its keep/drop decisions: the
+/// candidate filters come from the first positive and the spine, and each candidate query is
+/// the query built so far plus one filter. A candidate that misses a positive is dropped
+/// whatever the extra example is, so the trace records only the candidates that select every
+/// positive, each with whether it also selected the extra example (the harvest's decision).
+///
+/// Another extra example folding to the same spine replays the trace with one bit test per
+/// recorded step. If every decision comes out the same, the harvest over `positives ∪ {it}`
+/// builds exactly the recorded [`HarvestTrace::query`]; the first differing decision means
+/// the two runs part ways and the replay fails.
+///
+/// A step keeps only the filter its candidate adds: a replay rebuilds the candidate from the
+/// spine and the kept filters before it when it meets a document the step has no answers for
+/// yet. A session holds a trace per extended spine, and a trace has a step per harvested
+/// filter, so a whole query per step would cost a query's size times the filter count.
+#[derive(Debug)]
+pub(crate) struct HarvestTrace {
+    /// The spine-only query every candidate extends.
+    spine_query: TwigQuery,
+    steps: Vec<HarvestStep>,
+    query: TwigQuery,
+}
+
+/// One candidate of a [`HarvestTrace`] that selected every positive: the query built before it
+/// plus one filter.
+#[derive(Debug)]
+struct HarvestStep {
+    /// The filter: the spine node it hangs under, its axis and its test.
+    filter: (QNodeId, Axis, NodeTest),
+    /// The candidate's answers per document, evaluated on first use.
+    answers: Vec<Option<DenseSet<NodeId>>>,
+    /// Whether the harvest kept the filter, i.e. the candidate selected the extra example.
+    kept: bool,
+}
+
+impl HarvestTrace {
+    /// Harvest filters over `spine` for `positives ∪ {extra}`, recording every decision. The
+    /// spine must be the fold of the positives' label paths, in order, then `extra`'s.
+    pub(crate) fn record(
+        spine: &CachedSpine,
+        positives: &[(usize, NodeId)],
+        extra: (usize, NodeId),
+        docs: &[XmlTree],
+        indexes: &[NodeIndex],
+        caches: &mut [EvalCache],
+    ) -> HarvestTrace {
+        let refs: Vec<(&XmlTree, NodeId)> = positives
+            .iter()
+            .chain(std::iter::once(&extra))
+            .map(|&(slot, node)| (&docs[slot], node))
+            .collect();
+        let targets = targets_by_slot(positives, docs.len());
+        let (extra_slot, extra_node) = extra;
+        let mut steps = Vec::new();
+        let query = harvest_filters(&refs, spine.steps.clone(), &mut |q| {
+            if !selects_targets(q, &targets, docs, indexes, caches) {
+                return false;
+            }
+            let bits = eval_indexed::select_bits_with(
+                q,
+                &docs[extra_slot],
+                &indexes[extra_slot],
+                &mut caches[extra_slot],
+            );
+            let kept = bits.contains(extra_node);
+            let mut answers = vec![None; docs.len()];
+            answers[extra_slot] = Some(bits);
+            let filter = q
+                .node_ids()
+                .last()
+                .expect("a candidate has the filter it tries as its last node");
+            steps.push(HarvestStep {
+                filter: (
+                    q.parent(filter).expect("a filter hangs under a spine node"),
+                    q.axis(filter),
+                    q.test(filter).clone(),
+                ),
+                answers,
+                kept,
+            });
+            kept
+        })
+        .expect("the positives and the extra example are a non-empty example set");
+        HarvestTrace {
+            spine_query: spine.path_query(),
+            steps,
+            query,
+        }
+    }
+
+    /// Whether the harvest for the positives plus `(slot, node)` instead of the recorded extra
+    /// example takes every recorded decision, so builds [`Self::query`]. Stops at the first
+    /// differing decision.
+    pub(crate) fn replays_for(
+        &mut self,
+        slot: usize,
+        node: NodeId,
+        docs: &[XmlTree],
+        indexes: &[NodeIndex],
+        caches: &mut [EvalCache],
+    ) -> bool {
+        // The query the harvest built before the current step, materialised the first time a
+        // candidate needs evaluating on `slot`.
+        let mut built: Option<TwigQuery> = None;
+        for ix in 0..self.steps.len() {
+            if self.steps[ix].answers[slot].is_none() {
+                let before = built.get_or_insert_with(|| self.query_before(ix));
+                let mut candidate = before.clone();
+                add_filter(&mut candidate, &self.steps[ix].filter);
+                let answers = eval_indexed::select_bits_with(
+                    &candidate,
+                    &docs[slot],
+                    &indexes[slot],
+                    &mut caches[slot],
+                );
+                self.steps[ix].answers[slot] = Some(answers);
+            }
+            let step = &self.steps[ix];
+            let selected = step.answers[slot]
+                .as_ref()
+                .is_some_and(|answers| answers.contains(node));
+            if selected != step.kept {
+                return false;
+            }
+            if let (true, Some(query)) = (step.kept, built.as_mut()) {
+                add_filter(query, &step.filter);
+            }
+        }
+        true
+    }
+
+    /// The query the harvest had built when it tried step `ix`: the spine plus every filter
+    /// kept before it.
+    fn query_before(&self, ix: usize) -> TwigQuery {
+        let mut query = self.spine_query.clone();
+        for step in self.steps[..ix].iter().filter(|step| step.kept) {
+            add_filter(&mut query, &step.filter);
+        }
+        query
+    }
+
+    /// The query the recorded harvest built.
+    pub(crate) fn query(&self) -> &TwigQuery {
+        &self.query
+    }
+}
+
+fn add_filter(query: &mut TwigQuery, (parent, axis, test): &(QNodeId, Axis, NodeTest)) {
+    query.add_node(*parent, *axis, test.clone());
+}
+
+/// The examples' nodes per document slot, sorted and deduplicated.
+fn targets_by_slot(examples: &[(usize, NodeId)], slots: usize) -> Vec<Vec<NodeId>> {
+    let mut by_slot: Vec<Vec<NodeId>> = vec![Vec::new(); slots];
     for &(slot, node) in examples {
         by_slot[slot].push(node);
     }
@@ -110,18 +271,28 @@ pub(crate) fn learn_from_positives_shared_with_spine(
         targets.sort_unstable();
         targets.dedup();
     }
-    harvest_filters(&refs, spine.steps.clone(), &mut |q| {
-        by_slot.iter().enumerate().all(|(slot, targets)| {
-            targets.is_empty() || {
-                let selected = eval_indexed::select_bits_with(
-                    q,
-                    &docs[slot],
-                    &indexes[slot],
-                    &mut caches[slot],
-                );
-                targets.iter().all(|n| selected.contains(*n))
-            }
-        })
+    by_slot
+}
+
+/// Whether `query` selects every target of every slot: one indexed evaluation per slot that
+/// has targets, stopping at the first miss.
+fn selects_targets(
+    query: &TwigQuery,
+    targets: &[Vec<NodeId>],
+    docs: &[XmlTree],
+    indexes: &[NodeIndex],
+    caches: &mut [EvalCache],
+) -> bool {
+    targets.iter().enumerate().all(|(slot, targets)| {
+        targets.is_empty() || {
+            let selected = eval_indexed::select_bits_with(
+                query,
+                &docs[slot],
+                &indexes[slot],
+                &mut caches[slot],
+            );
+            targets.iter().all(|n| selected.contains(*n))
+        }
     })
 }
 
@@ -152,26 +323,9 @@ pub fn learn_from_positives_shared(
         .iter()
         .map(|&(slot, node)| (&docs[slot], node))
         .collect();
-    let mut by_slot: Vec<Vec<NodeId>> = vec![Vec::new(); docs.len()];
-    for &(slot, node) in examples {
-        by_slot[slot].push(node);
-    }
-    for targets in &mut by_slot {
-        targets.sort_unstable();
-        targets.dedup();
-    }
+    let targets = targets_by_slot(examples, docs.len());
     learn_with_evaluator(&refs, &mut |q| {
-        by_slot.iter().enumerate().all(|(slot, targets)| {
-            targets.is_empty() || {
-                let selected = eval_indexed::select_bits_with(
-                    q,
-                    &docs[slot],
-                    &indexes[slot],
-                    &mut caches[slot],
-                );
-                targets.iter().all(|n| selected.contains(*n))
-            }
-        })
+        selects_targets(q, &targets, docs, indexes, caches)
     })
 }
 
@@ -616,6 +770,116 @@ mod tests {
         assert!(
             q.size() > 3,
             "expected filters beyond the bare spine, got {q}"
+        );
+    }
+
+    /// Record a harvest for the first node of every extended spine over `positives`, replay
+    /// it for every later node of that spine in any document, and check the replay against the
+    /// from-scratch harvest. Returns per document how many replays succeeded and failed.
+    fn replay_against_scratch(
+        docs: &[XmlTree],
+        positives: &[(usize, NodeId)],
+    ) -> (Vec<usize>, Vec<usize>) {
+        let indexes: Vec<NodeIndex> = docs.iter().map(NodeIndex::build).collect();
+        let mut caches = vec![EvalCache::new(); docs.len()];
+        let refs: Vec<(&XmlTree, NodeId)> = positives.iter().map(|&(d, n)| (&docs[d], n)).collect();
+        let base = generalised_spine(&refs).unwrap();
+        let mut traces: Vec<(CachedSpine, HarvestTrace)> = Vec::new();
+        let (mut replayed, mut diverged) = (vec![0; docs.len()], vec![0; docs.len()]);
+        let nodes = (0..docs.len()).flat_map(|d| docs[d].node_ids().map(move |n| (d, n)));
+        for (doc, node) in nodes {
+            let spine = base.extended(&docs[doc], node);
+            let mut examples = positives.to_vec();
+            examples.push((doc, node));
+            let scratch = learn_from_positives_shared_with_spine(
+                &spine,
+                &examples,
+                docs,
+                &indexes,
+                &mut caches,
+            )
+            .unwrap();
+            match traces.iter_mut().find(|(s, _)| *s == spine) {
+                Some((_, trace)) => {
+                    let replays = trace.replays_for(doc, node, docs, &indexes, &mut caches);
+                    assert_eq!(replays, *trace.query() == scratch, "node {doc}/{node:?}");
+                    if replays {
+                        replayed[doc] += 1;
+                    } else {
+                        diverged[doc] += 1;
+                    }
+                }
+                None => {
+                    let trace = HarvestTrace::record(
+                        &spine,
+                        positives,
+                        (doc, node),
+                        docs,
+                        &indexes,
+                        &mut caches,
+                    );
+                    assert_eq!(*trace.query(), scratch, "node {doc}/{node:?}");
+                    traces.push((spine, trace));
+                }
+            }
+        }
+        (replayed, diverged)
+    }
+
+    /// A recorded harvest replays for another node of the same extended spine exactly when
+    /// the from-scratch harvest for that node builds the recorded query: the candidate filters
+    /// are tried once each in a fixed order, so one differing decision leaves a filter in one
+    /// query and not in the other. The positives sit in the first of two documents, so replays
+    /// for nodes of the second rebuild candidates the recording never evaluated there.
+    #[test]
+    fn harvest_trace_replays_exactly_when_the_harvests_agree() {
+        let xmark: Vec<XmlTree> = [3, 4]
+            .map(|seed| qbe_xml::xmark::generate(&qbe_xml::xmark::XmarkConfig::new(0.01, seed)))
+            .into();
+        let name_under = |parent: &str| {
+            xmark[0]
+                .nodes_with_label("name")
+                .into_iter()
+                .find(|&n| xmark[0].label_path(n).iter().rev().nth(1).unwrap() == parent)
+                .unwrap()
+        };
+        let (person_name, item_name) = (name_under("person"), name_under("item"));
+        let (mut replayed, mut diverged) = ([0; 2], [0; 2]);
+        for positives in [
+            vec![(0, person_name)],
+            vec![(0, person_name), (0, item_name)],
+        ] {
+            let (r, d) = replay_against_scratch(&xmark, &positives);
+            for slot in 0..2 {
+                replayed[slot] += r[slot];
+                diverged[slot] += d[slot];
+            }
+        }
+        assert!(
+            replayed.iter().chain(&diverged).all(|&count| count > 0),
+            "per document: {replayed:?} replayed, {diverged:?} diverged"
+        );
+    }
+
+    /// Filters on a spine step below a `//` edge do not act independently: the positives'
+    /// spine is `/r//b//c` with `[x]` and `[y]` harvested on `b`, and one `c` of each other
+    /// document has an `x` on one `b` ancestor and a `y` on another. Its replay must test
+    /// `b[x][y]`, the candidate the harvest built, not `b[y]` alone. It comes first in the
+    /// second document, so its replay builds candidates step by step from the spine; in the
+    /// third a `c` parting ways at `[x]` comes first, so its replay starts mid-trace.
+    #[test]
+    fn harvest_trace_rebuilds_candidates_with_every_kept_filter() {
+        let docs = [
+            "<r><b><x/><y/><c/></b><z><b><x/><y/><w><c/></w></b></z></r>",
+            "<r><z/><b><x/><b><y/><c/></b></b><b><y/><c/></b></r>",
+            "<r><z/><b><y/><c/></b><b><x/><b><y/><c/></b></b></r>",
+        ]
+        .map(|xml| qbe_xml::parse_xml(xml).unwrap());
+        let cs = docs[0].nodes_with_label("c");
+        let (replayed, diverged) = replay_against_scratch(&docs, &[(0, cs[0]), (0, cs[1])]);
+        assert!(
+            diverged[1] > 0 && diverged[2] > 0,
+            "{replayed:?} replayed, {diverged:?} diverged"
         );
     }
 

@@ -8,7 +8,9 @@
 //!   a `BTreeSet` under random operation sequences;
 //! * **incremental pools ≡ from-scratch pools** — each interactive session's incremental
 //!   candidate pool (maintained by word-level set difference across rounds) must equal the
-//!   from-scratch recomputation after every single proposal, for twig, path and join sessions.
+//!   from-scratch recomputation after every single proposal, for twig, path and join sessions;
+//!   the twig session's memoised determined-negative proofs must agree with the from-scratch
+//!   [`TwigSession::is_determined_negative`] specification.
 
 use proptest::prelude::*;
 use qbe_core::graph::interactive::{PathConstraint, PathSession, PathStrategy};
@@ -19,11 +21,12 @@ use qbe_core::twig::query::{Axis, NodeTest, TwigQuery};
 use qbe_core::twig::{eval, eval_indexed, NodeStrategy, TwigSession};
 use qbe_core::xml::random::{RandomTreeConfig, RandomTreeGenerator};
 use qbe_core::xml::{NodeId, NodeIndex, XmlTree};
-use qbe_core::DenseSet;
+use qbe_core::{DenseSet, SessionConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn random_tree(seed: u64) -> XmlTree {
     let cfg = RandomTreeConfig {
@@ -134,6 +137,51 @@ proptest! {
             session.record(d, n, selected.contains(&n));
             rounds += 1;
             prop_assert!(rounds <= 4096, "session failed to terminate");
+        }
+    }
+
+    /// Twig sessions: every node a `propose` call proves determined-negative (through its
+    /// per-spine memo) is determined-negative by the from-scratch specification, and the node
+    /// it proposes is not — for the default, `max-coverage` and `random` strategies.
+    #[test]
+    fn twig_memoised_negatives_equal_from_scratch(seed in 0u64..1_000_000) {
+        let doc = random_tree(seed);
+        let goal = random_goal(seed.wrapping_mul(31), &doc);
+        let selected = eval::select(&goal, &doc);
+        let index = NodeIndex::build(&doc);
+        let (docs, indexes) = (Arc::new(vec![doc]), Arc::new(vec![index]));
+        // `None` is the session's default strategy, label affinity.
+        for strategy in [None, Some("max-coverage"), Some("random")] {
+            let config = match strategy {
+                None => SessionConfig::new().seed(seed),
+                Some(name) => SessionConfig::new()
+                    .seed(seed)
+                    .strategy_named(name)
+                    .expect("shipped strategy names resolve"),
+            };
+            let strategy = strategy.unwrap_or("label-affinity");
+            let mut session = TwigSession::with_config(docs.clone(), indexes.clone(), config);
+            let mut proven: BTreeSet<(usize, NodeId)> = BTreeSet::new();
+            let mut rounds = 0usize;
+            while let Some((d, n)) = session.propose() {
+                for (pd, pn) in session.determined_negative_nodes() {
+                    if proven.insert((pd, pn)) {
+                        prop_assert!(
+                            session.is_determined_negative(pd, pn),
+                            "{} proved node {:?} negative at round {} against the spec",
+                            strategy, pn, rounds
+                        );
+                    }
+                }
+                prop_assert!(
+                    !session.is_determined_negative(d, n),
+                    "{} proposed the determined-negative node {:?} at round {}",
+                    strategy, n, rounds
+                );
+                session.record(d, n, selected.contains(&n));
+                rounds += 1;
+                prop_assert!(rounds <= 4096, "session failed to terminate");
+            }
         }
     }
 

@@ -23,7 +23,7 @@ use qbe_core::relational::{
 use qbe_core::twig::{
     interactive_twig_learn, interactive_twig_learn_config, parse_xpath, NodeStrategy,
 };
-use qbe_core::xml::xmark::{generate, XmarkConfig};
+use qbe_core::xml::xmark::{corpus_by_name, generate, XmarkConfig};
 use qbe_core::xml::XmlTree;
 use qbe_core::SessionConfig;
 
@@ -65,6 +65,47 @@ fn twig_session_question_counts_are_pinned() {
         assert_eq!(
             outcome.interactions, expected,
             "{goal} with {strategy:?} (seed {seed}) changed its question count"
+        );
+        assert_eq!(outcome.interactions + outcome.pruned, outcome.total_nodes);
+    }
+}
+
+/// The benchmark's own twig instance: `//person/name` on the served corpus `small`
+/// (`xmark-small`, one 1371-node document). The default strategy ignores the seed; `random`
+/// and `max-coverage` are pinned at seed 1. All three converge to the same overspecialised
+/// query. Any change to the determined-negative analysis that alters what the session proves
+/// or asks shows up here.
+#[test]
+fn twig_benchmark_instance_is_pinned() {
+    const LEARNED: &str = "/site[categories][catgraph][closed_auctions][open_auctions][regions]\
+        [.//africa][.//asia][.//australia][.//category][.//closed_auction][.//edge][.//europe]\
+        [.//namerica][.//open_auction][.//person][.//samerica]/people[.//address][.//creditcard]\
+        [.//emailaddress][.//homepage][.//name][.//phone][.//profile][.//watches]\
+        /person[emailaddress]/name";
+    let docs = corpus_by_name("xmark-small").expect("xmark-small is a shipped corpus");
+    assert_eq!(docs.iter().map(XmlTree::size).sum::<usize>(), 1371);
+    let goal = parse_xpath("//person/name").unwrap();
+    let cases: [(Option<&str>, usize); 3] = [
+        (None, 166),
+        (Some("random"), 69),
+        (Some("max-coverage"), 880),
+    ];
+    for (strategy, expected) in cases {
+        let config = match strategy {
+            None => SessionConfig::new().seed(1),
+            Some(name) => named(name, 1),
+        };
+        let outcome = interactive_twig_learn_config(&docs, &goal, config);
+        let label = strategy.unwrap_or("the default strategy");
+        assert!(outcome.consistent, "{label}");
+        assert_eq!(
+            outcome.interactions, expected,
+            "twig learning on xmark-small with {label} changed its question count"
+        );
+        assert_eq!(
+            outcome.query.map(|q| q.to_xpath()).as_deref(),
+            Some(LEARNED),
+            "{label} changed its learned query"
         );
         assert_eq!(outcome.interactions + outcome.pruned, outcome.total_nodes);
     }
